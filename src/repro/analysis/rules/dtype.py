@@ -1,7 +1,7 @@
 """Rule ``dtype-explicit``: the columnar pipeline stays int32 end to end.
 
-The chunked admission gate, the shared-memory fan-out and the interner
-all traffic in dense ``int32`` columns; numpy's *default* dtypes are
+The chunked admission gate, the pools' columnar populations and the
+interner all traffic in dense ``int32`` columns; numpy's *default* dtypes are
 platform- and input-dependent (``int64``/``float64`` on Linux,
 ``int32`` on Windows for some creators), so a dtype-less array creation
 in that path is a latent cross-platform bit-drift — and a silent 2×
@@ -42,8 +42,8 @@ _CREATORS = frozenset(
     "explicitly",
     rationale=(
         "The chunked pipeline's contract is int32 columns end to end "
-        "(`repro.streams.chunks`, `process_chunk`, the shared-memory "
-        "fan-out); its float side is explicit float64 so chunked and "
+        "(`repro.streams.chunks`, `process_chunk`, the pools' columnar "
+        "populations); its float side is explicit float64 so chunked and "
         "scalar passes share every bit. numpy creators without `dtype=` "
         "fall back to defaults that vary by platform and input "
         "(`np.array([1, 2])` is int64 on Linux, int32 on Windows), so "

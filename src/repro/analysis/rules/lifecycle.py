@@ -52,11 +52,10 @@ def _finally_unlinks(try_node: ast.Try) -> bool:
         "it when the creating process dies mid-run. The repo's "
         "publishing side therefore pairs every creation with an owner "
         "exposing `close` and `unlink` (driven by a context manager "
-        "that unlinks on success, failure and KeyboardInterrupt alike "
-        "— see `repro.engine.shared_edges`). A bare creation, or one "
-        "whose cleanup lives on the happy path only, leaks segments "
-        "under every exception — invisible in tests, fatal on a "
-        "long-lived host."
+        "that unlinks on success, failure and KeyboardInterrupt alike). "
+        "A bare creation, or one whose cleanup lives on the happy path "
+        "only, leaks segments under every exception — invisible in "
+        "tests, fatal on a long-lived host."
     ),
     example=(
         "from multiprocessing import shared_memory\n"

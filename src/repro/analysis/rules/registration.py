@@ -1,8 +1,9 @@
 """Rule ``registry-flags``: method registrations declare label safety.
 
-The shared-memory fan-out and the chunked pipeline both dispatch on
+The interned pool fan-out and the chunked pipeline both dispatch on
 :attr:`MethodSpec.reads_labels` — a method that observes node labels
-must keep original labels (pickled dispatch, scalar pipeline); one that
+must keep original labels (label-preserving populations, scalar
+pipeline); one that
 is label-free licenses the interned ``int32`` fast paths.  The default
 (``False``) opts registrations into the fast paths silently, so a
 label-reading method registered without the flag returns *wrong
@@ -28,8 +29,8 @@ from repro.analysis.registry import register_rule
     rationale=(
         "`reads_labels` is the label-safety flag the replication/sweep "
         "pools and the chunked gate read: `False` licenses interned "
-        "int32 dispatch and columnar blocks, `True` forces pickled "
-        "original-label dispatch. Defaulting it means a label-reading "
+        "int32 populations and columnar blocks, `True` forces "
+        "original-label populations. Defaulting it means a label-reading "
         "method silently rides the interned fast path and reports "
         "statistics about the *wrong labels* — no exception, no failing "
         "assertion, just wrong numbers in pooled runs. (Weight "

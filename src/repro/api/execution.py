@@ -317,8 +317,8 @@ def _chunk_size_for(
 
     The chunked pipeline engages only when every layer consents: the
     spec asked for it, neither the method nor the weight reads node
-    labels (mirroring the ``is_label_free`` gate of the shared-memory
-    dispatch — a label-reading configuration must see the stream's
+    labels (mirroring the ``is_label_free`` gate of the pools' interned
+    populations — a label-reading configuration must see the stream's
     original tuples), the counter's admission gate is actually
     vectorised (``chunk_vectorized``; false for e.g. the in-stream
     estimator, whose per-arrival snapshot leaves nothing to gate), and

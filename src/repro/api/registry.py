@@ -107,10 +107,10 @@ class MethodSpec:
         Whether the method's counter or metric extractor observes node
         *labels* (as opposed to just graph topology).  Every built-in
         method is label-free, which licenses the replication/sweep
-        pools' interned (dense-``int32``) dispatch; a third-party method
-        that e.g. reports per-label statistics must register with
-        ``reads_labels=True`` to keep original labels (and pickled
-        dispatch) in those pools.
+        pools' interned (dense-``int32``) populations; a third-party
+        method that e.g. reports per-label statistics must register
+        with ``reads_labels=True`` to keep original labels in those
+        pools.
     """
 
     name: str

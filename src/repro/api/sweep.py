@@ -64,10 +64,6 @@ from repro.engine.stream_engine import DEFAULT_PIPELINE, PIPELINES
 from repro.engine.replication import MetricSummary, default_max_workers
 from repro.faults.corruption import corrupt_entry
 from repro.faults.injector import FaultInjector, coerce_injector
-from repro.engine.shared_edges import (
-    SharedEdgePopulation,
-    shared_memory_available,
-)
 from repro.graph.exact import GraphStatistics
 from repro.stats.metrics import absolute_relative_error
 from repro.streams.interner import NodeInterner
@@ -635,29 +631,25 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-# Per-worker cache of attached shared-memory edge populations,
-# ``{source: interned edge list}`` — populated once by the pool
-# initializer, read by every task the worker executes.
+# Per-worker interned edge populations, ``{source: edge list}`` —
+# installed once by the pool initializer, read by every task the worker
+# executes.
 _SWEEP_EDGES: Dict[str, List[Tuple[int, int]]] = {}
 
 
-def _sweep_pool_initializer(descriptors: Dict[str, Any]) -> None:
-    """Attach each published source once per worker (zero-copy setup)."""
+def _sweep_pool_initializer(edges: Dict[str, List[Tuple[int, int]]]) -> None:
+    """Install the parent's interned sources in a worker, once."""
     global _SWEEP_EDGES
-    _SWEEP_EDGES = {
-        source: SharedEdgePopulation.attach(descriptor)
-        for source, descriptor in descriptors.items()
-    }
+    _SWEEP_EDGES = edges
 
 
 def _execute_payload(payload: Tuple[Dict[str, Any], bool]) -> RunReport:
     """Worker entry point: one cell replication (module-level: picklable).
 
-    When the parent published the cell's source through shared memory,
-    the worker streams the attached interned population instead of
-    re-resolving the source (re-reading the file / regenerating the
-    graph) for every task — interning is a pure relabelling, so the
-    report is bit-identical.  The live counter is stripped from the
+    When the parent handed the cell's source to the pool, the worker
+    streams that interned population instead of re-resolving the source
+    (re-reading the file / regenerating the graph) for every task —
+    interning is a pure relabelling, so the report is bit-identical.  The live counter is stripped from the
     report — it does not cross the process boundary and sweep
     aggregation never reads it.
     """
@@ -675,7 +667,7 @@ def _grid_label_free(spec: SweepSpec) -> bool:
     """Whether every method and named weight in the grid ignores labels.
 
     Methods registered with ``reads_labels=True`` disqualify the whole
-    grid from interned dispatch.  ``None`` weight cells use the method's
+    grid from interned fan-out.  ``None`` weight cells use the method's
     own default weight; every built-in default is label-free (the GPS
     family defaults to the triangle weight), so ``None`` passes —
     third-party methods with label-reading *default* weights should
@@ -933,61 +925,28 @@ def _execute_pooled(
 ) -> Tuple[List[RunReport], RetryStats]:
     """Run pending replications on the shared pool.
 
-    The distinct pending sources are interned and published once via
-    shared memory; each worker attaches in its initializer, so per-task
-    payloads stay spec dicts and no worker ever re-reads a source.  The
-    segments are unlinked in a ``finally`` — success, worker failure and
-    KeyboardInterrupt all clean up.  Sources fall back to per-worker
-    resolution when shared memory is unavailable or a grid weight reads
-    node labels.
+    The distinct pending sources are resolved and interned once in the
+    parent and handed to every worker through the pool initializer, so
+    per-task payloads stay spec dicts and no worker re-reads a source.
+    Grids whose methods or weights read node labels keep per-task
+    resolution.
     """
-    populations: List[SharedEdgePopulation] = []
-    current: Dict[str, SharedEdgePopulation] = {}
-    edges_of: Dict[str, List[Tuple[int, int]]] = {}
-
-    def publish(source: str) -> None:
-        population = SharedEdgePopulation.publish(edges_of[source])
-        populations.append(population)
-        current[source] = population
-
-    def descriptors() -> Tuple[Dict[str, Any]]:
-        return ({src: pop.descriptor for src, pop in current.items()},)
-
-    def refresh() -> Optional[Tuple[Dict[str, Any]]]:
-        # Re-publish any source whose segment a platform cleanup took
-        # with the crashed worker (a worker itself never unlinks).
-        lost = []
-        for source, population in current.items():
-            try:
-                SharedEdgePopulation.attach(population.descriptor)
-            except (OSError, ValueError):
-                lost.append(source)
-        for source in lost:
-            publish(source)
-        return descriptors() if lost else None
-
-    try:
-        if shared_memory_available() and _grid_label_free(spec):
-            for source in dict.fromkeys(rs.source for _, _, rs in pending):
-                edges_of[source] = NodeInterner().intern_edges(
-                    _resolve_edges(source, None)
-                )
-                publish(source)
-        return run_resilient(
-            _execute_payload,
-            list(payloads),
-            workers=workers,
-            initializer=_sweep_pool_initializer,
-            initargs=descriptors(),
-            retry_budget=retry_budget,
-            injector=injector,
-            site="sweep",
-            refresh=refresh,
-        )
-    finally:
-        for population in populations:
-            population.close()
-            population.unlink()
+    edges: Dict[str, List[Tuple[int, int]]] = {}
+    if _grid_label_free(spec):
+        for source in dict.fromkeys(rs.source for _, _, rs in pending):
+            edges[source] = NodeInterner().intern_edges(
+                _resolve_edges(source, None)
+            )
+    return run_resilient(
+        _execute_payload,
+        list(payloads),
+        workers=workers,
+        initializer=_sweep_pool_initializer,
+        initargs=(edges,),
+        retry_budget=retry_budget,
+        injector=injector,
+        site="sweep",
+    )
 
 
 def _resolve_workers(workers: Optional[int], pending: int) -> int:

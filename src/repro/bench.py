@@ -24,19 +24,17 @@ Every payload carries the same envelope — ``benchmark``, ``mode``
   steady-state stream (budget ≪ stream length — the regime GPS runs in
   and the gate targets) *and* on the legacy admit-heavy envelope, with
   the same shared-seed identity assert.
-* **replication** measures worker fan-out setup vs graph size: the
-  bytes and serialisation time of the legacy pickled per-worker payload
-  (linear in |K|) against the shared-memory publish/attach path, whose
-  per-task payload is a fixed-size descriptor; plus an end-to-end
-  replicated run under both dispatches, asserted bit-identical.
+* **replication** times one replicated study end to end, pooled
+  (workers receive the population once through the pool initializer)
+  against inline, with the two summaries asserted bit-identical.
 * **sweep** measures the grid layer: a cold sweep into a fresh cache
   versus the same sweep resumed from it (ground truth and cell reports
   replayed, no recount).
 * **serve** measures the live service: sustained ingestion over the
   steady-state uniform synthetic stream against a ladder of concurrent
-  query-reader threads (queries/sec × edges/sec, per-query latency),
-  with the final served estimates asserted bit-identical to a batch
-  pass over the same stream.
+  query-reader threads (queries/sec × edges/sec, nearest-rank
+  p50/p99/p999/max per-query latency), with the final served estimates
+  asserted bit-identical to a batch pass over the same stream.
 * **shard** measures sharded GPS over the steady-state ladder: every
   shard's substream is driven *independently* (each shard is its own
   sampler over its own router partition, exactly what one host of an
@@ -54,7 +52,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import pickle
+import math
 import platform
 import sys
 import tempfile
@@ -302,95 +300,49 @@ def _bench_chunked(quick: bool, repeats: int) -> Dict:
 # replication
 # ----------------------------------------------------------------------
 def bench_replication(quick: bool) -> Dict:
-    """Worker-dispatch setup cost vs graph size, plus end-to-end runs."""
+    """One replicated study, pooled vs inline, asserted bit-identical."""
     from repro.engine.replication import ReplicatedRunner
-    from repro.engine.shared_edges import SharedEdgePopulation
     from repro.graph.generators import chung_lu
-    from repro.streams.interner import NodeInterner
-    from repro.streams.stream import EdgeStream
 
-    sizes = [5_000, 20_000] if quick else [25_000, 50_000, 100_000, 200_000]
-    ladder: List[Dict] = []
-    for num_edges in sizes:
-        graph = chung_lu(max(200, num_edges // 5), num_edges,
-                         exponent=2.3, seed=42)
-        edges = tuple(
-            NodeInterner().intern_edges(EdgeStream.canonical_edges(graph))
-        )
-        gc.collect()
-        # Legacy pickled dispatch: every worker deserialises the full
-        # population (and under spawn the parent serialises it per
-        # worker) — O(|K|) each way.
-        started = time.perf_counter()
-        payload = pickle.dumps(edges)
-        pickle.loads(payload)
-        pickle_seconds = time.perf_counter() - started
-        # Shared dispatch: publish once, attach per worker; the per-task
-        # payload is the fixed-size descriptor.
-        started = time.perf_counter()
-        population = SharedEdgePopulation.publish(edges)
-        publish_seconds = time.perf_counter() - started
-        try:
-            descriptor = population.descriptor
-            started = time.perf_counter()
-            attached = SharedEdgePopulation.attach(descriptor)
-            attach_seconds = time.perf_counter() - started
-            assert attached == list(edges)
-        finally:
-            population.close()
-            population.unlink()
-        ladder.append({
-            "edges": len(edges),
-            "pickle_payload_bytes": len(payload),
-            "pickle_roundtrip_seconds": round(pickle_seconds, 6),
-            "shared_task_payload_bytes": len(pickle.dumps(descriptor)),
-            "shared_publish_seconds": round(publish_seconds, 6),
-            "shared_attach_seconds": round(attach_seconds, 6),
-        })
-        print(
-            f"|K|={len(edges):>7,}  pickle {len(payload):>12,}B "
-            f"{pickle_seconds * 1e3:8.2f}ms   shared task payload "
-            f"{ladder[-1]['shared_task_payload_bytes']:>4}B  "
-            f"publish {publish_seconds * 1e3:6.2f}ms  "
-            f"attach {attach_seconds * 1e3:6.2f}ms"
-        )
-
-    # End-to-end: the same replicated study under both dispatches must
-    # be bit-identical; report its throughput.
     graph = chung_lu(2_000 if quick else 10_000,
                      10_000 if quick else 50_000, exponent=2.3, seed=42)
     capacity = 1_000 if quick else 4_000
     replications = 2 if quick else 4
+    workers = 2
     end_to_end: Dict[str, Dict[str, float]] = {}
     summaries = {}
-    for dispatch in ("shared", "pickle"):
+    for mode, max_workers in (("inline", 0), ("pooled", workers)):
         runner = ReplicatedRunner(
             graph, capacity=capacity, replications=replications,
-            max_workers=1, method="gps-post", dispatch=dispatch,
+            max_workers=max_workers, method="gps-post",
         )
         gc.collect()
         started = time.perf_counter()
         summary = runner.run()
         elapsed = time.perf_counter() - started
-        summaries[dispatch] = summary
+        summaries[mode] = summary
         total = graph.num_edges * replications
-        end_to_end[dispatch] = {
+        end_to_end[mode] = {
             "elapsed_seconds": round(elapsed, 4),
             "edges_per_sec": round(total / elapsed, 1),
         }
-        print(f"end-to-end {dispatch:<7} {elapsed:6.2f}s  "
+        print(f"end-to-end {mode:<7} {elapsed:6.2f}s  "
               f"{total / elapsed:>12,.0f} e/s")
-    for name in summaries["shared"].metrics:
-        assert (
-            summaries["shared"].metrics[name].mean
-            == summaries["pickle"].metrics[name].mean
-        ), f"dispatch mismatch on {name}"
+    assert summaries["pooled"].replications == summaries["inline"].replications
+    assert summaries["pooled"].metrics == summaries["inline"].metrics
     return _envelope(
         "replication", quick,
-        params={"sizes": sizes, "end_to_end_edges": graph.num_edges,
-                "capacity": capacity, "replications": replications,
-                "workers": 1, "method": "gps-post"},
-        results={"setup_vs_size": ladder, "end_to_end": end_to_end},
+        params={"edges": graph.num_edges, "capacity": capacity,
+                "replications": replications, "workers": workers,
+                "method": "gps-post"},
+        results={
+            "end_to_end": end_to_end,
+            "pooled_speedup": round(
+                end_to_end["inline"]["elapsed_seconds"]
+                / end_to_end["pooled"]["elapsed_seconds"], 3
+            ),
+            "bit_identical": True,
+        },
     )
 
 
@@ -462,6 +414,29 @@ def bench_sweep(quick: bool) -> Dict:
 # ----------------------------------------------------------------------
 # serve
 # ----------------------------------------------------------------------
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The nearest-rank ``q`` quantile of an ascending, non-empty list."""
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[rank - 1]
+
+
+def latency_summary_ms(ordered: Sequence[float]) -> Dict[str, float]:
+    """Nearest-rank p50/p99/p999 and max of ascending latencies (s → ms)."""
+    summary = {
+        name: nearest_rank(ordered, q)
+        for name, q in (("p50", 0.5), ("p99", 0.99), ("p999", 0.999))
+    }
+    summary["max"] = ordered[-1]
+    return {name: round(value * 1e3, 4) for name, value in summary.items()}
+
+
+def _latency_line(rung: Dict) -> str:
+    latency = rung.get("query_latency_ms")
+    if latency is None:
+        return "no queries"
+    return f"p50 {latency['p50']:.3f} ms  p99 {latency['p99']:.3f} ms"
+
+
 def bench_serve(quick: bool) -> Dict:
     """Sustained-load ladder: ingestion rate × concurrent query latency.
 
@@ -547,16 +522,7 @@ def bench_serve(quick: bool) -> Dict:
             rung["queries_per_sec"] = round(
                 len(all_latencies) / stats.elapsed_seconds, 1
             )
-            rung["query_latency_ms"] = {
-                "mean": round(
-                    sum(all_latencies) / len(all_latencies) * 1e3, 4
-                ),
-                "p95": round(
-                    all_latencies[int(0.95 * (len(all_latencies) - 1))]
-                    * 1e3, 4
-                ),
-                "max": round(all_latencies[-1] * 1e3, 4),
-            }
+            rung["query_latency_ms"] = latency_summary_ms(all_latencies)
         return rung, final
 
     if quick:
@@ -590,12 +556,11 @@ def bench_serve(quick: bool) -> Dict:
             f"readers={readers}"
         )
         results["post_stream"]["ladder"].append(rung)
-        latency = rung.get("query_latency_ms", {}).get("mean", 0.0)
         print(
             f"serve [gps-post] readers={readers}: "
             f"{rung['ingest_edges_per_sec']:>12,.0f} e/s   "
             f"{rung['queries']:>6} queries   "
-            f"mean latency {latency:.3f} ms   "
+            f"{_latency_line(rung)}   "
             f"stalls {rung['backpressure_stalls']}"
         )
     results["post_stream"]["bit_identical_to_batch"] = True
@@ -611,8 +576,7 @@ def bench_serve(quick: bool) -> Dict:
         f"serve [gps]      readers=2: "
         f"{rung['ingest_edges_per_sec']:>12,.0f} e/s   "
         f"{rung['queries']:>6} queries   "
-        f"mean latency "
-        f"{rung.get('query_latency_ms', {}).get('mean', 0.0):.3f} ms"
+        f"{_latency_line(rung)}"
     )
     return _envelope(
         "serve", quick,

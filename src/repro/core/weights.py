@@ -158,9 +158,10 @@ def is_label_free(weight_fn: "WeightFunction") -> bool:
     """Whether ``weight_fn`` reads only sample *topology*, never labels.
 
     Label-free weights are invariant under node relabelling, which is
-    what licenses the interned (dense-``int32``) dispatch of the
-    shared-memory replication fan-out: workers may stream interned ids
-    instead of original labels and every estimate stays bit-identical.
+    what licenses the interned (dense-``int32``) populations the
+    replication and sweep pools hand their workers: workers may stream
+    interned ids instead of original labels and every estimate stays
+    bit-identical.
     :class:`AttributeWeight` (and any unrecognised custom callable) may
     inspect the labels themselves, so it conservatively disqualifies.
 

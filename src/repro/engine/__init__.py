@@ -5,9 +5,9 @@ through ``process_many`` fast paths where available) and fires checkpoint
 callbacks; ``ReplicatedRunner`` fans independent multi-seed replications
 of any registered method across worker processes and aggregates mean /
 variance / confidence intervals — the paper's error-bar protocol.  The
-edge population reaches workers zero-copy through
-:mod:`repro.engine.shared_edges`: interned once, published once via
-shared memory, attached per worker — per-task payloads stay seed pairs.
+edge population reaches each worker once, through the pool
+initializer's arguments (copy-on-write under ``fork``) — per-task
+payloads stay seed pairs.
 """
 
 from repro.engine.replication import (
@@ -22,10 +22,6 @@ from repro.engine.resilient import (
     DEFAULT_RETRY_BUDGET,
     RetryStats,
     run_resilient,
-)
-from repro.engine.shared_edges import (
-    SharedEdgePopulation,
-    shared_memory_available,
 )
 from repro.engine.stream_engine import (
     DEFAULT_PIPELINE,
@@ -47,9 +43,7 @@ __all__ = [
     "ReplicatedSummary",
     "ReplicationResult",
     "RetryStats",
-    "SharedEdgePopulation",
     "StreamEngine",
     "default_max_workers",
     "run_resilient",
-    "shared_memory_available",
 ]

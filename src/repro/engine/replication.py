@@ -18,17 +18,16 @@ gets aggregated.  Methods registered by third-party modules are visible
 to forked workers; under a spawn start method the registering module
 must be importable by workers.
 
-Worker dispatch is zero-copy by default: the runner interns the edge
-population to dense ``int32`` ids and publishes the flat array once via
-:mod:`multiprocessing.shared_memory`
-(:mod:`repro.engine.shared_edges`); workers attach by name and permute
-locally, so per-worker setup no longer scales with graph size and
-per-task payloads stay seed pairs.  Interning is a pure relabelling —
-every aggregated metric is label-free — so the results are bit-identical
-to the legacy pickled dispatch, which remains available as
-``dispatch="pickle"`` and is selected automatically for weight functions
-that read node labels (:func:`repro.core.weights.is_label_free`) and for
-methods registered with ``reads_labels=True``.
+Pool workers receive the edge population once, through the pool
+initializer's arguments; per-task payloads are seed pairs.  Under the
+``fork`` start method those arguments reach each worker copy-on-write
+with no serialisation, and under spawn/forkserver they are pickled once
+per worker.  Whenever nothing can observe node labels the runner
+interns the population to dense ``int32`` ids first; interning is a
+pure relabelling and every aggregated metric is label-free, so results
+are bit-identical.  Weight functions that read labels
+(:func:`repro.core.weights.is_label_free`) and methods registered with
+``reads_labels=True`` keep the original tuples.
 ``max_workers=0`` runs everything inline in the calling process — the
 results are identical (each replication is deterministic given its seed
 pair), which the test suite exploits.
@@ -65,11 +64,6 @@ from repro.engine.resilient import (
     RetryStats,
     run_resilient,
 )
-from repro.engine.shared_edges import (
-    Descriptor,
-    SharedEdgePopulation,
-    shared_memory_available,
-)
 from repro.engine.stream_engine import (
     DEFAULT_PIPELINE,
     PIPELINES,
@@ -94,9 +88,6 @@ SeedPair = Tuple[int, int]
 #: The default method: the GPS shared-sample pass whose metric set
 #: (in-stream + post-stream, one reservoir) matches the paper's protocol.
 DEFAULT_METHOD = "gps"
-
-#: Worker dispatch mechanisms (``None`` on the runner means auto).
-DISPATCHES = ("shared", "pickle")
 
 
 def _get_method(name: str):
@@ -191,16 +182,13 @@ class ReplicatedSummary:
 
     ``metrics`` maps each of the method's metric names to its
     :class:`MetricSummary`; the GPS names are also readable through the
-    legacy attribute properties.  ``dispatch`` records how workers
-    received the edge population (``"shared"``/``"pickle"``; ``"inline"``
-    when no pool ran).
+    legacy attribute properties.  ``workers == 0`` records an inline run.
     """
 
     replications: Tuple[ReplicationResult, ...]
     metrics: Dict[str, MetricSummary]
     workers: int
     method: str = DEFAULT_METHOD
-    dispatch: str = "inline"
     #: The pipeline replications actually drove (``"scalar"`` when the
     #: configuration cannot use the columnar gate, whatever was asked).
     pipeline: str = "scalar"
@@ -248,37 +236,24 @@ class _ReplicationTask:
 class _Population:
     """One edge population, viewable as tuples and as int32 columns.
 
-    Both views are derived lazily and cached, so a worker on the
-    chunked pipeline never materialises Python tuples (its population
-    arrives as columns straight from the shared segment) while a worker
-    driving a tuple-only method never pays the columnar conversion —
-    and either way the conversion happens once per process, not per
-    replication.
+    The columnar view is derived lazily and cached, so a runner driving
+    a tuple-only method never pays the conversion, and a chunked one
+    pays it once — in the parent before a pool starts, so workers
+    inherit both views — not once per replication.
     """
 
     __slots__ = ("_edges", "_columns", "_columns_tried")
 
-    def __init__(self, edges=None, columns=None) -> None:
-        if edges is None and columns is None:
-            raise ValueError("a population needs edges or columns")
+    def __init__(self, edges: Sequence[Edge]) -> None:
         self._edges = edges
-        self._columns = columns
-        self._columns_tried = columns is not None
+        self._columns = None
+        self._columns_tried = False
 
     def __len__(self) -> int:
-        if self._edges is not None:
-            return len(self._edges)
-        return len(self._columns[0])
+        return len(self._edges)
 
     def __iter__(self):
-        return iter(self.tuples())
-
-    def tuples(self) -> Sequence[Edge]:
-        """The population as ``(u, v)`` tuples of plain Python ints."""
-        if self._edges is None:
-            u, v = self._columns
-            self._edges = list(zip(u.tolist(), v.tolist()))
-        return self._edges
+        return iter(self._edges)
 
     def columns(self):
         """``(u, v)`` int32 columns, or ``None`` when not int-labelled."""
@@ -363,52 +338,24 @@ def _acquire_counter(task: _ReplicationTask, stream_length: int):
     return counter
 
 
-# Shared per-worker state: the edge population is identical across a
-# runner's replications, so it is delivered once per worker — through a
-# shared-memory attach (descriptor in the initargs) or, on the legacy
-# pickled path, through the initargs themselves — never per task.
+# Per-worker state: the edge population is identical across a runner's
+# replications, so it is delivered once per worker through the pool
+# initializer's arguments, never per task.
 _WORKER_STATE: Optional[
     Tuple[_Population, int, Optional[WeightFunction], str, str, str]
 ] = None
 
 
 def _pool_initializer(
-    edges: Tuple[Edge, ...],
+    population: _Population,
     capacity: int,
     weight_fn: Optional[WeightFunction],
     method: str,
     core: str,
     pipeline: str,
 ) -> None:
-    """Pickled dispatch: the population arrives serialised per worker."""
+    """Install the runner's population and configuration in a worker."""
     global _WORKER_STATE
-    _WORKER_STATE = (
-        _Population(edges=edges), capacity, weight_fn, method, core, pipeline,
-    )
-
-
-def _pool_initializer_shared(
-    descriptor: Descriptor,
-    capacity: int,
-    weight_fn: Optional[WeightFunction],
-    method: str,
-    core: str,
-    pipeline: str,
-) -> None:
-    """Shared dispatch: attach to the published segment and copy out.
-
-    On the chunked pipeline the attach is columnar — the worker's
-    population lands directly in the ``process_chunk`` input shape and
-    tuples are only ever built if a scalar method asks for them.
-    """
-    global _WORKER_STATE
-    population = None
-    if pipeline == "chunked" and numpy_or_none() is not None:
-        columns = SharedEdgePopulation.attach_columnar(descriptor)
-        if columns is not None:
-            population = _Population(columns=columns)
-    if population is None:
-        population = _Population(edges=SharedEdgePopulation.attach(descriptor))
     _WORKER_STATE = (population, capacity, weight_fn, method, core, pipeline)
 
 
@@ -433,7 +380,7 @@ def _run_replication(task: _ReplicationTask) -> ReplicationResult:
     """One full pass of the task's method; module-level so pools pickle it."""
     population = (
         task.edges if isinstance(task.edges, _Population)
-        else _Population(edges=task.edges)
+        else _Population(task.edges)
     )
     n = len(population)
     counter = _acquire_counter(task, n)
@@ -527,11 +474,6 @@ class ReplicatedRunner:
         vectorised ``process_chunk`` when the counter supports it
         (uniform-family weights), ``"scalar"`` keeps the tuple loop.
         Bit-identical results either way — a pure performance switch.
-    dispatch:
-        How pooled workers receive the edge population: ``"shared"``
-        (zero-copy shared memory, requires a label-free weight) or
-        ``"pickle"`` (legacy serialised initargs).  ``None`` picks
-        shared whenever it is applicable.  Inline runs ignore it.
 
     Examples
     --------
@@ -555,7 +497,6 @@ class ReplicatedRunner:
         "_method",
         "_core",
         "_pipeline",
-        "_dispatch",
         "_interner",
         "_injector",
         "_retry_budget",
@@ -574,7 +515,6 @@ class ReplicatedRunner:
         method: str = DEFAULT_METHOD,
         core: str = DEFAULT_CORE,
         pipeline: str = DEFAULT_PIPELINE,
-        dispatch: Optional[str] = None,
         faults=None,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> None:
@@ -587,11 +527,6 @@ class ReplicatedRunner:
         method_spec = _get_method(method)  # fail fast on unknown names
         validate_core(core)
         validate_pipeline(pipeline)
-        if dispatch is not None and dispatch not in DISPATCHES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCHES} (or None for auto), "
-                f"got {dispatch!r}"
-            )
         if isinstance(graph, AdjacencyGraph):
             # Same canonical order EdgeStream.from_graph shuffles, so a
             # replication with stream_seed s reproduces that exact stream.
@@ -599,10 +534,10 @@ class ReplicatedRunner:
         else:
             edges = list(graph)
         # Intern whenever nothing can observe the labels: interning is a
-        # pure relabelling, and it makes the population a flat int array
-        # the shared-memory dispatch can publish.  Weight functions or
+        # pure relabelling, and it makes the population dense int32 ids
+        # the chunked pipeline can columnarise.  Weight functions or
         # methods that read labels (``MethodSpec.reads_labels``) keep
-        # the original tuples (and pickled dispatch).
+        # the original tuples.
         label_free = not method_spec.reads_labels and (
             weight_fn is None or is_label_free(weight_fn)
         )
@@ -615,26 +550,14 @@ class ReplicatedRunner:
         else:
             self._interner = None
             self._edges = tuple(edges)
-        if dispatch == "shared":
-            if self._interner is None:
-                raise ValueError(
-                    "dispatch='shared' needs a label-free weight function "
-                    "and method (the interned dispatch cannot preserve "
-                    "node labels); use dispatch='pickle'"
-                )
-            if not shared_memory_available():  # pragma: no cover
-                raise ValueError(
-                    "dispatch='shared' is unavailable on this platform"
-                )
-        # One lazy dual-view shared by every inline task, so the
-        # columnar conversion happens at most once per runner.
-        self._population = _Population(edges=self._edges)
+        # One lazy dual-view shared by every task, inline or pooled, so
+        # the columnar conversion happens at most once per runner.
+        self._population = _Population(self._edges)
         self._capacity = capacity
         self._weight_fn = weight_fn
         self._method = method
         self._core = core
         self._pipeline = pipeline
-        self._dispatch = dispatch
         if seed_pairs is not None:
             pairs = [(int(s), int(t)) for s, t in seed_pairs]
         else:
@@ -678,16 +601,8 @@ class ReplicatedRunner:
     @property
     def interner(self) -> Optional[NodeInterner]:
         """Id → label mapping of the interned population (None when the
-        weight function forced label dispatch)."""
+        weight function or method reads labels)."""
         return self._interner
-
-    def resolved_dispatch(self) -> str:
-        """The dispatch a pooled run will use (auto resolved)."""
-        if self._dispatch is not None:
-            return self._dispatch
-        if self._interner is not None and shared_memory_available():
-            return "shared"
-        return "pickle"
 
     def resolved_pipeline(self) -> str:
         """The pipeline replications will actually drive.
@@ -724,6 +639,7 @@ class ReplicatedRunner:
     def run(self) -> ReplicatedSummary:
         """Execute all replications and aggregate their estimates."""
         pairs = self._seed_pairs
+        pipeline = self.resolved_pipeline()
         if self._max_workers == 0 or len(pairs) == 1:
             try:
                 results = [
@@ -744,15 +660,24 @@ class ReplicatedRunner:
             finally:
                 _release_arena()
             workers = 0
-            dispatch = "inline"
             stats = RetryStats()
         else:
             workers = min(self._max_workers, len(pairs))
-            dispatch = self.resolved_dispatch()
-            if dispatch == "shared":
-                results, stats = self._run_pool_shared(workers, pairs)
-            else:
-                results, stats = self._run_pool_pickled(workers, pairs)
+            if pipeline == "chunked":
+                # Columnarise in the parent: workers inherit both views
+                # instead of each converting the population itself.
+                self._population.columns()
+            results, stats = run_resilient(
+                _run_seed_pair,
+                list(pairs),
+                workers=workers,
+                initializer=_pool_initializer,
+                initargs=(self._population, self._capacity, self._weight_fn,
+                          self._method, self._core, self._pipeline),
+                retry_budget=self._retry_budget,
+                injector=self._injector,
+                site="replication",
+            )
         metric_names = list(results[0].metrics)
         return ReplicatedSummary(
             replications=tuple(results),
@@ -762,73 +687,14 @@ class ReplicatedRunner:
             },
             workers=workers,
             method=self._method,
-            dispatch=dispatch,
-            pipeline=self.resolved_pipeline(),
+            pipeline=pipeline,
             task_retries=stats.task_retries,
             pool_rebuilds=stats.pool_rebuilds,
-        )
-
-    # ------------------------------------------------------------------
-    # Pool drivers
-    # ------------------------------------------------------------------
-    def _run_pool_shared(
-        self, workers: int, pairs: Sequence[SeedPair]
-    ) -> Tuple[List[ReplicationResult], RetryStats]:
-        """Publish once, attach per worker; every published generation
-        is always unlinked — on success, worker failure (including a
-        pool rebuild after a crashed worker) and KeyboardInterrupt."""
-        published = [SharedEdgePopulation.publish(self._edges)]
-
-        def initargs_of(shared: SharedEdgePopulation) -> Tuple:
-            return (shared.descriptor, self._capacity, self._weight_fn,
-                    self._method, self._core, self._pipeline)
-
-        def refresh() -> Optional[Tuple]:
-            # A dead worker cannot unlink the parent's segment, but a
-            # hostile platform cleanup can; probe, republish if gone.
-            try:
-                SharedEdgePopulation.attach(published[-1].descriptor)
-                return None
-            except (OSError, ValueError):
-                published.append(SharedEdgePopulation.publish(self._edges))
-                return initargs_of(published[-1])
-
-        try:
-            return run_resilient(
-                _run_seed_pair,
-                list(pairs),
-                workers=workers,
-                initializer=_pool_initializer_shared,
-                initargs=initargs_of(published[0]),
-                retry_budget=self._retry_budget,
-                injector=self._injector,
-                site="replication",
-                refresh=refresh,
-            )
-        finally:
-            for shared in published:
-                shared.close()
-                shared.unlink()
-
-    def _run_pool_pickled(
-        self, workers: int, pairs: Sequence[SeedPair]
-    ) -> Tuple[List[ReplicationResult], RetryStats]:
-        return run_resilient(
-            _run_seed_pair,
-            list(pairs),
-            workers=workers,
-            initializer=_pool_initializer,
-            initargs=(self._edges, self._capacity, self._weight_fn,
-                      self._method, self._core, self._pipeline),
-            retry_budget=self._retry_budget,
-            injector=self._injector,
-            site="replication",
         )
 
 
 __all__ = [
     "DEFAULT_METHOD",
-    "DISPATCHES",
     "MetricSummary",
     "ReplicatedRunner",
     "ReplicatedSummary",

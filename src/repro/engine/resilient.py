@@ -4,10 +4,9 @@
 :class:`~concurrent.futures.ProcessPoolExecutor` when it wants to
 survive worker death.  It submits tasks individually, catches
 ``BrokenProcessPool`` (a killed worker poisons the whole executor),
-rebuilds the pool — letting the caller re-publish a shared-memory
-population whose segment died with the run via ``refresh`` — and
-resubmits the unfinished tasks under a bounded budget.  Per-task
-exceptions retry the same way without a rebuild.
+rebuilds the pool with the same initializer arguments, and resubmits
+the unfinished tasks under a bounded budget.  Per-task exceptions retry
+the same way without a rebuild.
 
 Retries are *free* correctness-wise: every task in this codebase is a
 pure function of its seeds, so the resubmitted task returns bit-for-bit
@@ -90,7 +89,6 @@ def run_resilient(
     rebuild_budget: int = DEFAULT_REBUILD_BUDGET,
     injector: Optional[FaultInjector] = None,
     site: str = "",
-    refresh: Optional[Callable[[], Optional[Tuple[Any, ...]]]] = None,
 ) -> Tuple[List[Any], RetryStats]:
     """Run ``fn`` over ``tasks`` in a pool that survives worker death.
 
@@ -112,10 +110,6 @@ def run_resilient(
     injector / site:
         Fault-injection hook: consulted per ``(task, attempt)`` in the
         parent, instruction shipped inside the payload.
-    refresh:
-        Called once per rebuild, before the new executor exists.  May
-        return replacement ``initargs`` (e.g. a re-published shared
-        segment's descriptor) or ``None`` to keep the current ones.
 
     Returns
     -------
@@ -131,13 +125,12 @@ def run_resilient(
     stats = RetryStats()
     results: Dict[int, Any] = {}
     pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
-    current_initargs = tuple(initargs)
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=initializer,
-            initargs=current_initargs,
+            initargs=initargs,
         )
 
     pool = make_pool()
@@ -188,17 +181,12 @@ def run_resilient(
                 if stats.pool_rebuilds > rebuild_budget:
                     raise broken
                 pool.shutdown(wait=False, cancel_futures=True)
-                if refresh is not None:
-                    refreshed = refresh()
-                    if refreshed is not None:
-                        current_initargs = tuple(refreshed)
                 pool = make_pool()
             next_pending.sort()
             pending = next_pending
     finally:
-        # Wait like the old `with ProcessPoolExecutor(...)` did: callers
-        # unlink shared segments right after this returns, and a clean
-        # worker exit keeps the resource tracker quiet.
+        # Wait like a `with ProcessPoolExecutor(...)` block would: no
+        # worker outlives the call.
         pool.shutdown(wait=True, cancel_futures=True)
     return [results[i] for i in range(len(tasks))], stats
 

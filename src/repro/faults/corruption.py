@@ -1,10 +1,7 @@
 """Deterministic file corruption for cache-fault injection.
 
 :func:`corrupt_entry` mutates a cache entry on disk the same way every
-time (so a "corrupted sweep cache" chaos test is replayable).  The
-seeded retry backoff that used to live here moved to
-:mod:`repro.faults.backoff`; the name is re-exported for existing
-importers.
+time (so a "corrupted sweep cache" chaos test is replayable).
 """
 
 from __future__ import annotations
@@ -12,7 +9,6 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from repro.faults.backoff import backoff_delay
 from repro.faults.spec import CORRUPTION_MODES
 
 
@@ -40,4 +36,4 @@ def corrupt_entry(
         path.write_bytes(bytes(rng.getrandbits(8) for _ in range(size)))
 
 
-__all__ = ["backoff_delay", "corrupt_entry"]
+__all__ = ["corrupt_entry"]

@@ -22,6 +22,10 @@ PathLike = Union[str, Path]
 _COMMENT_PREFIXES = ("#", "%", "//")
 
 
+class EdgeListParseError(ValueError):
+    """A line of an edge-list file whose node tokens do not convert."""
+
+
 def _open_text(path: PathLike, mode: str):
     path = Path(path)
     if path.suffix == ".gz":
@@ -43,11 +47,24 @@ def iter_edge_list(
     :class:`~repro.streams.interner.NodeInterner` interns the labels to
     dense ``int32`` ids at parse time (first-encounter order), so the
     rest of the pipeline runs on machine integers; the interner keeps
-    the id → label mapping.
+    the id → label mapping.  A token ``node_type`` rejects raises
+    :class:`EdgeListParseError` naming the file and the line.
     """
     with _open_text(path, "r") as handle:
-        if interner is not None:
-            intern = interner.intern
+        line = ""
+        try:
+            if interner is not None:
+                intern = interner.intern
+                for line in handle:
+                    line = line.strip()
+                    if not line or line.startswith(_COMMENT_PREFIXES):
+                        continue
+                    parts = line.split(delimiter)
+                    if len(parts) < 2:
+                        continue
+                    yield (intern(node_type(parts[0])),
+                           intern(node_type(parts[1])))
+                return
             for line in handle:
                 line = line.strip()
                 if not line or line.startswith(_COMMENT_PREFIXES):
@@ -55,16 +72,16 @@ def iter_edge_list(
                 parts = line.split(delimiter)
                 if len(parts) < 2:
                     continue
-                yield intern(node_type(parts[0])), intern(node_type(parts[1]))
-            return
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith(_COMMENT_PREFIXES):
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 2:
-                continue
-            yield node_type(parts[0]), node_type(parts[1])
+                yield node_type(parts[0]), node_type(parts[1])
+        except UnicodeDecodeError:
+            raise  # an undecodable file, not a bad label: keep its error
+        except ValueError as exc:
+            # ``line`` still holds the line being converted; the loop
+            # keeps no counter, so the hot path pays nothing for this.
+            raise EdgeListParseError(
+                f"{path}: cannot read node labels from line {line!r} "
+                f"({exc})"
+            ) from exc
 
 
 def iter_edge_chunks(

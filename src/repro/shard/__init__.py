@@ -14,7 +14,7 @@ probability taken at its *owner shard's* final threshold.
   hash (scalar and vectorised forms, bit-identical);
 * :mod:`repro.shard.runner` — :class:`ShardedRunner` driving ``S``
   per-shard chunked :class:`~repro.engine.StreamEngine` passes inline
-  or across a process pool over the shared-memory edge population.
+  or across a process pool whose workers receive the edge columns once.
 """
 
 from repro.shard.router import edge_key, edge_shard, shard_columns

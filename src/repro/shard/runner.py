@@ -21,10 +21,10 @@ One sharded pass is:
 
 Inline mode (``workers=0``) runs the shards sequentially in-process —
 the deterministic test path.  Pool mode fans shards across a
-:class:`~concurrent.futures.ProcessPoolExecutor` over the existing
-shared-memory edge population (publish once, attach per worker);
-results are bit-identical to inline because every worker replays the
-same permutation and routing on the same columns.
+:class:`~concurrent.futures.ProcessPoolExecutor` whose initializer
+hands every worker the runner's columns once; results are bit-identical
+to inline because every worker replays the same permutation and
+routing on the same columns.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.engine.resilient import (
     RetryStats,
     run_resilient,
 )
-from repro.engine.shared_edges import SharedEdgePopulation
 from repro.faults.injector import coerce_injector
 from repro.engine.stream_engine import (
     DEFAULT_PIPELINE,
@@ -160,13 +159,13 @@ def _drive_shard(counter: Any, substream, chunked: bool):
 
 
 # ----------------------------------------------------------------------
-# Process-pool plumbing (shared-memory fan-out, one task per shard)
+# Process-pool plumbing (columns via initargs, one task per shard)
 # ----------------------------------------------------------------------
 _SHARD_STATE: Optional[Tuple] = None
 
 
 def _shard_pool_initializer(
-    descriptor,
+    columns,
     shards: int,
     router_seed: int,
     capacity: int,
@@ -176,9 +175,8 @@ def _shard_pool_initializer(
     stream_seed: Optional[int],
     sampler_seed: int,
 ) -> None:
-    """Attach the published columns once per worker; permute once too."""
+    """Permute and route the runner's columns once per worker."""
     global _SHARD_STATE
-    columns = SharedEdgePopulation.attach_columnar(descriptor)
     us, vs = _permuted_columns(columns, stream_seed)
     ids = shard_columns(us, vs, shards, router_seed)
     _SHARD_STATE = (
@@ -439,11 +437,13 @@ class ShardedRunner:
         sampler_seed: int,
         workers: int,
     ):
-        published = [SharedEdgePopulation.publish(self._edges)]
-
-        def initargs_of(population: SharedEdgePopulation):
-            return (
-                population.descriptor,
+        outcomes, stats = run_resilient(
+            _run_shard_task,
+            list(range(self._shards)),
+            workers=workers,
+            initializer=_shard_pool_initializer,
+            initargs=(
+                self._columns,
                 self._shards,
                 self._router_seed,
                 self._budget // self._shards,
@@ -452,34 +452,11 @@ class ShardedRunner:
                 self._core,
                 stream_seed,
                 sampler_seed,
-            )
-
-        def refresh():
-            # Republish only if a platform cleanup took the segment
-            # along with the crashed worker.
-            try:
-                SharedEdgePopulation.attach(published[-1].descriptor)
-                return None
-            except (OSError, ValueError):
-                published.append(SharedEdgePopulation.publish(self._edges))
-                return initargs_of(published[-1])
-
-        try:
-            outcomes, stats = run_resilient(
-                _run_shard_task,
-                list(range(self._shards)),
-                workers=workers,
-                initializer=_shard_pool_initializer,
-                initargs=initargs_of(published[0]),
-                retry_budget=self._retry_budget,
-                injector=self._injector,
-                site="shard",
-                refresh=refresh,
-            )
-        finally:
-            for population in published:
-                population.close()
-                population.unlink()
+            ),
+            retry_budget=self._retry_budget,
+            injector=self._injector,
+            site="shard",
+        )
         outcomes.sort(key=lambda item: item[0])
         samples = [item[1] for item in outcomes]
         sizes = [item[2] for item in outcomes]

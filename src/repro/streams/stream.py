@@ -75,7 +75,7 @@ class EdgeStream:
         :class:`~repro.streams.interner.NodeInterner` mapping ids back to
         the original labels.  Interning changes no estimate — every
         metric in the repo is label-free — and is what the compact core
-        and the shared-memory replication fan-out run on.
+        and the replication pool's columnar population run on.
 
         >>> stream, interner = EdgeStream([("a", "b"), ("b", "c")]).interned()
         >>> list(stream), interner.label(2)

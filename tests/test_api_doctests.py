@@ -25,7 +25,6 @@ import repro.api.sweep
 import repro.core.compact
 import repro.core.weights
 import repro.engine.replication
-import repro.engine.shared_edges
 import repro.heap.slot_heap
 import repro.streams.interner
 
@@ -42,7 +41,6 @@ MODULES = [
     repro.core.compact,
     repro.core.weights,
     repro.engine.replication,
-    repro.engine.shared_edges,
     repro.heap.slot_heap,
     repro.streams.interner,
 ]

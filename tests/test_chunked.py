@@ -501,11 +501,10 @@ class TestRunSpecPipeline:
 # ----------------------------------------------------------------------
 class TestWarmArena:
     def test_population_dual_views_agree(self, clean_edges):
-        population = _Population(edges=list(clean_edges))
+        population = _Population(list(clean_edges))
         u, v = population.columns()
-        from_columns = _Population(columns=(u, v))
-        assert from_columns.tuples() == list(clean_edges)
-        assert len(from_columns) == len(population)
+        assert list(zip(u.tolist(), v.tolist())) == list(population)
+        assert len(u) == len(population) == len(clean_edges)
 
     def test_arena_reuse_is_bit_exact(self, clean_edges):
         """Back-to-back tasks (the second on a warm arena) match fresh
@@ -541,18 +540,15 @@ class TestWarmArena:
         with pytest.raises(ValueError):
             ReplicatedRunner(clean_edges, capacity=10, pipeline="turbo")
 
-    def test_pooled_dispatches_match_inline(self, clean_edges):
+    def test_pooled_matches_inline(self, clean_edges):
         inline = ReplicatedRunner(
             clean_edges, capacity=90, weight_fn=UniformWeight(),
             replications=2, max_workers=0, method="gps-post",
         ).run()
-        for dispatch in ("shared", "pickle"):
-            pooled = ReplicatedRunner(
-                clean_edges, capacity=90, weight_fn=UniformWeight(),
-                replications=2, max_workers=1, method="gps-post",
-                dispatch=dispatch,
-            ).run()
-            for name, summary in inline.metrics.items():
-                assert pooled.metrics[name].mean == summary.mean, (
-                    dispatch, name,
-                )
+        pooled = ReplicatedRunner(
+            clean_edges, capacity=90, weight_fn=UniformWeight(),
+            replications=2, max_workers=1, method="gps-post",
+        ).run()
+        assert pooled.pipeline == inline.pipeline == "chunked"
+        for name, summary in inline.metrics.items():
+            assert pooled.metrics[name].mean == summary.mean, name

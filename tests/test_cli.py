@@ -68,6 +68,15 @@ class TestSampleAndEstimate:
         with pytest.raises(ValueError, match="weight function mismatch"):
             main(["estimate", ckpt, "--weight", "triangle"])
 
+    def test_string_labels_rejected_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "str_labels.txt"
+        path.write_text("1 2\nalice bob\n")
+        assert main(["sample", str(path), "-m", "10"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro sample: error: ")
+        assert "'alice bob'" in err and str(path) in err
+        assert "\n" not in err
+
 
 class TestTrack:
     def test_track_table(self, edge_file, capsys):
@@ -370,24 +379,32 @@ class TestBench:
             assert entry["object_edges_per_sec"] > 0
             assert entry["speedup"] > 0
 
-    def test_replication_quick_setup_ladder(self, tmp_path, capsys):
+    def test_replication_quick_pooled_vs_inline(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main([
             "bench", "replication", "--quick", "-o", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "replication"
-        ladder = payload["results"]["setup_vs_size"]
-        assert len(ladder) >= 2
-        small, big = ladder[0], ladder[-1]
-        # Pickled payload grows with the graph; the shared-memory task
-        # payload (a descriptor) does not.
-        assert big["pickle_payload_bytes"] > 2 * small["pickle_payload_bytes"]
+        results = payload["results"]
+        assert results["bit_identical"] is True
+        for mode in ("inline", "pooled"):
+            assert results["end_to_end"][mode]["edges_per_sec"] > 0
+        assert results["pooled_speedup"] > 0
+
+    def test_latency_summary_is_ordered(self):
+        from repro.bench import latency_summary_ms, nearest_rank
+
+        # A heavy tail: the mean (6.85 ms) sits above p50 and below p99.
+        latencies = sorted([0.001] * 900 + [0.01] * 95 + [1.0] * 5)
+        summary = latency_summary_ms(latencies)
         assert (
-            big["shared_task_payload_bytes"]
-            == small["shared_task_payload_bytes"]
+            summary["p50"] <= summary["p99"] <= summary["p999"]
+            <= summary["max"]
         )
-        assert payload["results"]["end_to_end"]["shared"]["edges_per_sec"] > 0
+        assert summary == {"p50": 1.0, "p99": 10.0, "p999": 1000.0,
+                           "max": 1000.0}
+        assert nearest_rank([3.0], 0.999) == 3.0
 
     def test_bad_repeats_rejected(self, capsys):
         assert main(["bench", "engine", "--repeats", "0"]) == 2

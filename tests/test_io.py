@@ -8,6 +8,7 @@ import pytest
 
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.io import (
+    EdgeListParseError,
     iter_edge_list,
     read_edge_list,
     relabel_consecutive,
@@ -63,6 +64,20 @@ class TestParsing:
         path.write_text("alice bob\nbob carol\n")
         edges = list(iter_edge_list(path, node_type=str))
         assert edges == [("alice", "bob"), ("bob", "carol")]
+
+    @pytest.mark.parametrize("intern", [False, True])
+    def test_non_integer_labels_name_file_and_line(self, tmp_path, intern):
+        from repro.streams.interner import NodeInterner
+
+        path = tmp_path / "edges.txt"
+        path.write_text("1 2\n2 3\nalice bob\n")
+        interner = NodeInterner() if intern else None
+        with pytest.raises(EdgeListParseError) as info:
+            list(iter_edge_list(path, interner=interner))
+        message = str(info.value)
+        assert str(path) in message
+        assert "'alice bob'" in message
+        assert isinstance(info.value, ValueError)
 
     def test_read_simplifies(self, tmp_path):
         path = tmp_path / "edges.txt"
