@@ -11,6 +11,7 @@ and ``docs/invariants.md``, which is generated from the registrations):
 * :mod:`~repro.analysis.rules.registration` — registry-flags
 * :mod:`~repro.analysis.rules.docs` — api-doctest
 * :mod:`~repro.analysis.rules.exceptions` — exception-discipline
+* :mod:`~repro.analysis.rules.imports` — unused-import
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     docs,
     dtype,
     exceptions,
+    imports,
     lifecycle,
     registration,
     rng,
@@ -31,6 +33,7 @@ __all__ = [
     "docs",
     "dtype",
     "exceptions",
+    "imports",
     "lifecycle",
     "registration",
     "rng",

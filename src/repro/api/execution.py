@@ -26,7 +26,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import MethodSpec, get_method, get_weight
 from repro.api.spec import RunSpec
@@ -37,10 +37,10 @@ from repro.core.post_stream import PostStreamEstimator
 from repro.core.weights import WeightFunction, is_label_free
 from repro.engine.replication import MetricSummary, ReplicatedRunner
 from repro.engine.stream_engine import EngineStats, StreamEngine
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, permuted_columns
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import ExactStreamCounter
-from repro.graph.io import iter_edge_list
+from repro.graph.io import iter_edge_list, read_edge_columns
 from repro.streams.stream import EdgeStream
 from repro.streams.transforms import simplify_edges
 
@@ -256,7 +256,9 @@ class RunReport:
 # ----------------------------------------------------------------------
 # Source resolution
 # ----------------------------------------------------------------------
-def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
+def _resolve_edges(
+    source: str, graph: Optional[Any]
+) -> Union[List[Edge], EdgeStream]:
     """The edge population a spec streams, in canonical (pre-shuffle) order.
 
     Resolution order: an explicitly passed graph/edge sequence wins, then
@@ -264,6 +266,9 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
     to the same repr-sorted order :meth:`EdgeStream.from_graph` shuffles,
     so seeded permutations are bit-identical to the legacy entry points;
     files keep their arrival order (the stream seed then permutes it).
+    A clean integer file resolves to a columnar :class:`EdgeStream`
+    (:func:`~repro.graph.io.read_edge_columns`) holding the same edges
+    as the tuple reader would; every other file takes that reader.
     """
     if graph is not None:
         if isinstance(graph, AdjacencyGraph):
@@ -275,6 +280,9 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
     if source in DATASETS:
         return EdgeStream.canonical_edges(make_graph(source))
     if os.path.exists(source):
+        columns = read_edge_columns(source)
+        if columns is not None:
+            return EdgeStream.from_columns(*columns)
         return list(simplify_edges(iter_edge_list(source)))
     raise ValueError(
         f"cannot resolve source {source!r}: not a registered dataset "
@@ -283,7 +291,14 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
 
 
 def _permute(edges: Sequence[Edge], stream_seed: Optional[int]) -> EdgeStream:
-    """Seeded arrival permutation; ``None`` keeps the source order."""
+    """Seeded arrival permutation; ``None`` keeps the source order.
+
+    A columnar source is permuted by index gather, in the same arrival
+    order the tuple shuffle gives.
+    """
+    columns = edges.columnar() if isinstance(edges, EdgeStream) else None
+    if columns is not None:
+        return EdgeStream.from_columns(*permuted_columns(columns, stream_seed))
     if stream_seed is None:
         return EdgeStream.from_edges(edges)
     order = list(edges)

@@ -21,7 +21,7 @@ names resolved here rather than dictionaries scattered through callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.baselines.buriol import BuriolSampler
 from repro.baselines.jha import JhaSeshadhriPinar

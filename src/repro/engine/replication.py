@@ -64,11 +64,7 @@ from repro.engine.resilient import (
     RetryStats,
     run_resilient,
 )
-from repro.engine.stream_engine import (
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    validate_pipeline,
-)
+from repro.engine.stream_engine import DEFAULT_PIPELINE, validate_pipeline
 from repro.faults.injector import FaultInjector, coerce_injector
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import Node
@@ -77,7 +73,7 @@ from repro.stats.running import RunningMoments
 from repro.streams.chunks import (
     DEFAULT_CHUNK_SIZE,
     columnar_or_none,
-    numpy_or_none,
+    permuted_columns,
 )
 from repro.streams.interner import NodeInterner
 from repro.streams.stream import EdgeStream
@@ -390,16 +386,7 @@ def _run_replication(task: _ReplicationTask) -> ReplicationResult:
     ):
         columns = population.columns()
     if columns is not None:
-        # Shuffling an index permutation consumes the very same RNG
-        # sequence as shuffling the edge list (Fisher–Yates swaps are
-        # value-blind), so the columnar drive streams the identical
-        # arrival order — and the fancy-indexed gather is vectorised.
-        np = numpy_or_none()
-        perm = list(range(n))
-        random.Random(task.stream_seed).shuffle(perm)
-        idx = np.asarray(perm, dtype=np.intp)
-        us = columns[0][idx]
-        vs = columns[1][idx]
+        us, vs = permuted_columns(columns, task.stream_seed)
         process_chunk = counter.process_chunk
         for at in range(0, n, DEFAULT_CHUNK_SIZE):
             process_chunk(

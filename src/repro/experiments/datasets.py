@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import GraphStatistics, compute_statistics
 from repro.graph.generators import (
-    barabasi_albert,
     chung_lu,
     powerlaw_cluster,
     road_grid,

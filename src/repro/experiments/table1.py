@@ -17,7 +17,7 @@ import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.estimates import GraphEstimates, SubgraphEstimate
+from repro.core.estimates import SubgraphEstimate
 from repro.experiments.datasets import (
     DATASETS,
     TABLE1_DATASETS,

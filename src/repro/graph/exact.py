@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.edge import EdgeKey, Node, canonical_edge, is_self_loop
+from repro.graph.edge import EdgeKey, Node, is_self_loop
 
 
 def triangle_count(graph: AdjacencyGraph) -> int:

@@ -56,6 +56,7 @@ from repro.streams.chunks import (
     DEFAULT_CHUNK_SIZE,
     columnar_or_none,
     numpy_or_none,
+    permuted_columns,
 )
 
 #: Methods whose counters expose a GPS reservoir the HT merge can read.
@@ -135,20 +136,6 @@ def _extract_sample(counter: Any) -> Tuple[List[ShardRecord], int, float]:
     return records, sampler.sample_size, threshold
 
 
-def _permuted_columns(columns, stream_seed: Optional[int]):
-    """The stream permutation on columns, bit-identical to tuple shuffle."""
-    if stream_seed is None:
-        return columns
-    np = numpy_or_none()
-    n = len(columns[0])
-    # Shuffling an index permutation consumes the very same RNG sequence
-    # as shuffling the edge list (Fisher-Yates swaps are value-blind).
-    perm = list(range(n))
-    random.Random(stream_seed).shuffle(perm)
-    idx = np.asarray(perm, dtype=np.intp)
-    return columns[0][idx], columns[1][idx]
-
-
 def _drive_shard(counter: Any, substream, chunked: bool):
     """One shard's engine pass; returns the engine's edge count."""
     if chunked:
@@ -177,7 +164,7 @@ def _shard_pool_initializer(
 ) -> None:
     """Permute and route the runner's columns once per worker."""
     global _SHARD_STATE
-    us, vs = _permuted_columns(columns, stream_seed)
+    us, vs = permuted_columns(columns, stream_seed)
     ids = shard_columns(us, vs, shards, router_seed)
     _SHARD_STATE = (
         us, vs, ids, shards, router_seed, capacity, weight_fn, method,
@@ -408,7 +395,7 @@ class ShardedRunner:
         thresholds: List[float] = []
         shard_edges: List[int] = []
         if chunked:
-            us, vs = _permuted_columns(self._columns, stream_seed)
+            us, vs = permuted_columns(self._columns, stream_seed)
             ids = shard_columns(us, vs, self._shards, self._router_seed)
             substreams = [
                 _ColumnStream(us[ids == s], vs[ids == s])

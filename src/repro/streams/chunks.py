@@ -13,7 +13,10 @@ Python loop iteration per loser.
 Three producers exist:
 
 * :meth:`repro.streams.stream.EdgeStream.chunks` — columnarises a
-  materialised stream once (cached) and yields zero-copy slices;
+  materialised stream once (cached) and yields zero-copy slices; a
+  stream built by :meth:`~repro.streams.stream.EdgeStream.from_columns`
+  (e.g. over :func:`repro.graph.io.read_edge_columns`) is columnar from
+  the start;
 * :func:`repro.graph.io.iter_edge_chunks` — reads an edge-list file as
   blocks without ever materialising the whole stream;
 * :func:`iter_chunks` here — adapts any lazy ``(u, v)`` iterable, one
@@ -33,6 +36,7 @@ fast paths, and the scalar pipeline remains the behavioural oracle.
 
 from __future__ import annotations
 
+import random
 from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -114,6 +118,29 @@ def pairs_from_columns(us, vs):
     return zip(u_list, v_list)
 
 
+def permuted_columns(columns: Chunk, seed: Optional[int]) -> Chunk:
+    """``columns`` in the arrival order of a seeded tuple shuffle.
+
+    Shuffling an index list consumes the very same ``random.Random(seed)``
+    sequence as shuffling the edge list (Fisher–Yates swaps are
+    value-blind), so gathering the columns by it reproduces the tuple
+    stream's order bit for bit.  ``seed=None`` keeps the given order.
+
+    >>> import numpy as np
+    >>> u, v = permuted_columns((np.arange(4), np.arange(1, 5)), 7)
+    >>> edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    >>> random.Random(7).shuffle(edges)
+    >>> list(zip(u.tolist(), v.tolist())) == edges
+    True
+    """
+    if seed is None:
+        return columns
+    perm = list(range(len(columns[0])))
+    random.Random(seed).shuffle(perm)
+    idx = _np.asarray(perm, dtype=_np.intp)
+    return columns[0][idx], columns[1][idx]
+
+
 def iter_chunks(
     edges: Iterable[Edge],
     size: int = DEFAULT_CHUNK_SIZE,
@@ -160,4 +187,5 @@ __all__ = [
     "iter_chunks",
     "numpy_or_none",
     "pairs_from_columns",
+    "permuted_columns",
 ]

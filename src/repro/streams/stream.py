@@ -19,17 +19,23 @@ from repro.streams.chunks import (
     DEFAULT_CHUNK_SIZE,
     columnar_or_none,
     numpy_or_none,
+    pairs_from_columns,
 )
 from repro.streams.interner import NodeInterner
 
 
 class EdgeStream:
-    """A replayable, finite stream of undirected edges."""
+    """A replayable, finite stream of undirected edges.
+
+    Held either as a tuple list (whose int32 columns :meth:`columnar`
+    derives on demand) or, from :meth:`from_columns`, as authoritative
+    int32 columns whose tuples are built only if something iterates.
+    """
 
     __slots__ = ("_edges", "_columns")
 
     def __init__(self, edges: Sequence[Tuple[Node, Node]]) -> None:
-        self._edges: List[Tuple[Node, Node]] = list(edges)
+        self._edges: Optional[List[Tuple[Node, Node]]] = list(edges)
         self._columns = None  # lazily built by columnar(); False = can't
 
     # ------------------------------------------------------------------
@@ -64,6 +70,33 @@ class EdgeStream:
         """Stream with the given explicit arrival order."""
         return cls(list(edges))
 
+    @classmethod
+    def from_columns(cls, u, v) -> "EdgeStream":
+        """Stream over equal-length int32 ``(u, v)`` columns, in that order.
+
+        The columns are what :meth:`columnar` and :meth:`chunks` serve;
+        iterating the stream builds its plain-int tuples once, on first
+        use.
+
+        >>> import numpy as np
+        >>> stream = EdgeStream.from_columns(np.array([0, 1], np.int32),
+        ...                                  np.array([1, 2], np.int32))
+        >>> list(stream), len(stream)
+        ([(0, 1), (1, 2)], 2)
+        """
+        if len(u) != len(v):
+            raise ValueError("u and v columns differ in length")
+        stream = cls.__new__(cls)
+        stream._edges = None
+        stream._columns = (u, v)
+        return stream
+
+    def _pairs(self) -> List[Tuple[Node, Node]]:
+        """The stream as a tuple list (built from the columns once)."""
+        if self._edges is None:
+            self._edges = list(pairs_from_columns(*self._columns))
+        return self._edges
+
     def interned(
         self, interner: Optional[NodeInterner] = None
     ) -> Tuple["EdgeStream", NodeInterner]:
@@ -82,7 +115,7 @@ class EdgeStream:
         ([(0, 1), (1, 2)], 'c')
         """
         interner = interner if interner is not None else NodeInterner()
-        return EdgeStream(interner.intern_edges(self._edges)), interner
+        return EdgeStream(interner.intern_edges(self._pairs())), interner
 
     # ------------------------------------------------------------------
     # Columnar (chunked) access
@@ -94,7 +127,7 @@ class EdgeStream:
         integer — then the columns carry the original labels and the
         chunked pipeline is label-faithful (no interning).  The result
         is cached: repeated :meth:`chunks` calls pay the conversion
-        once.
+        once, and a :meth:`from_columns` stream never pays it.
 
         >>> EdgeStream([(0, 1), (1, 2)]).columnar()[0].tolist()
         [0, 1]
@@ -146,29 +179,34 @@ class EdgeStream:
     # Sequence-ish protocol
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._edges)
+        return iter(self._pairs())
 
     def __len__(self) -> int:
+        if self._edges is None:
+            return len(self._columns[0])
         return len(self._edges)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if self._edges is None:
+                u, v = self._columns
+                return EdgeStream.from_columns(u[index], v[index])
             return EdgeStream(self._edges[index])
-        return self._edges[index]
+        return self._pairs()[index]
 
     def prefix(self, length: int) -> "EdgeStream":
         """The first ``length`` arrivals as a new stream."""
-        return EdgeStream(self._edges[:length])
+        return self[:length]
 
     def prefix_graph(self, length: Optional[int] = None) -> AdjacencyGraph:
         """The (simple) graph formed by the first ``length`` arrivals."""
-        upto = len(self._edges) if length is None else length
-        return AdjacencyGraph(self._edges[:upto])
+        upto = len(self) if length is None else length
+        return AdjacencyGraph(self._pairs()[:upto])
 
     def enumerate(self, start: int = 1) -> Iterator[Tuple[int, Tuple[Node, Node]]]:
         """Iterate ``(t, (u, v))`` with arrival index ``t`` starting at 1."""
         t = start
-        for edge in self._edges:
+        for edge in self._pairs():
             yield t, edge
             t += 1
 
@@ -185,7 +223,7 @@ class EdgeStream:
         """
         if count <= 0:
             return []
-        n = len(self._edges)
+        n = len(self)
         if count >= n:
             return list(range(1, n + 1))
         step = n / count
@@ -198,4 +236,4 @@ class EdgeStream:
         return marks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeStream(len={len(self._edges)})"
+        return f"EdgeStream(len={len(self)})"

@@ -232,6 +232,38 @@ class TestRunEquivalence:
         with pytest.raises(ValueError, match="cannot resolve source"):
             run(RunSpec(source="no-such-dataset-or-file"))
 
+    @pytest.mark.parametrize("spec_fields", [
+        dict(method="gps-post", weight="uniform", budget=120, stream_seed=11),
+        dict(method="gps-post", weight="uniform", budget=120, stream_seed=777),
+        dict(method="gps", budget=120, stream_seed=5, sampler_seed=3),
+        dict(method="gps-post", weight="triangle", budget=120, stream_seed=2),
+        dict(method="triest", budget=120, stream_seed=4),
+        dict(method="gps-post", budget=120, stream_seed=6, checkpoints=4),
+        dict(method="gps-post", budget=120, stream_seed=6, pipeline="scalar"),
+    ], ids=lambda fields: "-".join(str(v) for v in fields.values()))
+    def test_clean_file_equals_its_tuple_population(
+        self, api_graph, tmp_path, spec_fields
+    ):
+        """A columnar-read file runs exactly like its tuple list."""
+        from repro.graph.io import iter_edge_list, read_edge_columns, write_edge_list
+        from repro.streams.transforms import simplify_edges
+
+        path = tmp_path / "clean.txt"
+        edges = list(api_graph.edges())
+        write_edge_list(edges + [(v, u) for u, v in edges[::3]], path)
+        assert read_edge_columns(path) is not None
+        spec = RunSpec(source=str(path), **spec_fields)
+        from_file = run(spec)
+        from_tuples = run(
+            spec, graph=list(simplify_edges(iter_edge_list(path)))
+        )
+        assert from_file.estimates == from_tuples.estimates
+        assert from_file.edges == from_tuples.edges == len(edges)
+        assert from_file.pipeline == from_tuples.pipeline
+        for part in ("post_stream", "in_stream", "tracking"):
+            assert (from_file.to_dict().get(part)
+                    == from_tuples.to_dict().get(part))
+
 
 # ----------------------------------------------------------------------
 # run(spec): tracking and replicated modes

@@ -201,6 +201,34 @@ CONFORMING = {
         "def _helper(n):\n"
         "    return n + 1\n",
     ),
+    "unused-import": (
+        "graph/degrees.py",
+        "from typing import TYPE_CHECKING, Dict\n"
+        "\n"
+        "from collections import Counter as Tally\n"
+        "import os.path\n"
+        "\n"
+        "try:\n"
+        "    import numpy as _np\n"
+        "except ImportError:\n"
+        "    _np = None\n"
+        "\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.graph.adjacency import AdjacencyGraph\n"
+        "\n"
+        "from repro.graph.edge import Node\n"
+        "\n"
+        "__all__ = ['Node', 'degrees']\n"
+        "\n"
+        "\n"
+        "def degrees(graph: \"AdjacencyGraph\") -> Dict[int, int]:\n"
+        "    tally = Tally(u for edge in graph.edges() for u in edge)\n"
+        "    return dict(tally) if _np is not None else {}\n"
+        "\n"
+        "\n"
+        "def exists(path):\n"
+        "    return os.path.exists(path)\n",
+    ),
 }
 
 
@@ -228,6 +256,32 @@ def test_scoped_rules_ignore_out_of_scope_files(tmp_path):
     # graph/ is outside rng-discipline's scope (core/baselines/streams/
     # engine) and outside nondet-ban's (core/stats).
     _write(tmp_path, "graph/io.py", "import random\nx = random.random()\n")
+    assert lint_paths([tmp_path]).clean
+
+
+def test_unused_import_names_each_unread_binding(tmp_path):
+    _write(
+        tmp_path,
+        "graph/mixed.py",
+        "import os, sys\n"
+        "from typing import (\n"
+        "    Dict,\n"
+        "    List,\n"
+        ")\n"
+        "\n"
+        "\n"
+        "def f() -> Dict[str, str]:\n"
+        "    return dict(os.environ)\n",
+    )
+    findings = lint_paths([tmp_path], select=["unused-import"]).findings
+    assert [(f.line, f.message) for f in findings] == [
+        (1, "'sys' is imported but never used"),
+        (4, "'List' is imported but never used"),
+    ]
+
+
+def test_unused_import_exempts_package_init(tmp_path):
+    _write(tmp_path, "graph/__init__.py", "from os import path\n")
     assert lint_paths([tmp_path]).clean
 
 

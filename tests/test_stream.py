@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
+import pytest
+
 from repro.graph.adjacency import AdjacencyGraph
+from repro.streams.chunks import permuted_columns
 from repro.streams.stream import EdgeStream
 
 
@@ -104,3 +110,57 @@ class TestCheckpointExactCount:
 
     def test_empty_stream(self):
         assert EdgeStream.from_edges([]).checkpoints(4) == []
+
+
+class TestColumnStreams:
+    """Streams over int32 columns: the file reader's output shape."""
+
+    def _stream(self, pairs):
+        u = np.array([a for a, _ in pairs], dtype=np.int32)
+        v = np.array([b for _, b in pairs], dtype=np.int32)
+        return EdgeStream.from_columns(u, v)
+
+    def test_iterates_to_plain_int_tuples(self):
+        stream = self._stream([(0, 1), (1, 2), (-3, 2)])
+        edges = list(stream)
+        assert edges == [(0, 1), (1, 2), (-3, 2)]
+        assert all(type(x) is int for edge in edges for x in edge)
+        assert list(stream.enumerate()) == [
+            (1, (0, 1)), (2, (1, 2)), (3, (-3, 2)),
+        ]
+
+    def test_columns_are_served_as_given(self):
+        stream = self._stream([(0, 1), (1, 2)])
+        u, v = stream.columnar()
+        assert stream.columnar()[0] is u
+        assert [b.tolist() for b, _ in stream.chunks(1)] == [[0], [1]]
+
+    def test_sequence_protocol_matches_tuple_stream(self):
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        columns, tuples = self._stream(pairs), EdgeStream(pairs)
+        assert len(columns) == len(tuples) == 5
+        assert columns[1] == tuples[1]
+        assert list(columns[1:4]) == list(tuples[1:4])
+        assert list(columns.prefix(2)) == list(tuples.prefix(2))
+        assert columns.checkpoints(3) == tuples.checkpoints(3)
+        assert (sorted(columns.prefix_graph(4).edges())
+                == sorted(tuples.prefix_graph(4).edges()))
+        assert list(columns.interned()[0]) == list(tuples.interned()[0])
+
+
+class TestPermutedColumns:
+    """The index shuffle reproduces the tuple shuffle exactly."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 12345, 2**40 + 7])
+    def test_equals_tuple_shuffle(self, n, seed):
+        edges = [(i, 2 * i + 1) for i in range(n)]
+        columns = (np.arange(n, dtype=np.int32),
+                   np.arange(1, 2 * n + 1, 2, dtype=np.int32))
+        u, v = permuted_columns(columns, seed)
+        random.Random(seed).shuffle(edges)
+        assert list(zip(u.tolist(), v.tolist())) == edges
+
+    def test_no_seed_keeps_order(self):
+        columns = (np.arange(3, dtype=np.int32), np.arange(3, dtype=np.int32))
+        assert permuted_columns(columns, None) is columns
